@@ -133,11 +133,13 @@ class MauiScheduler:
                 cluster.install_shard_index(
                     self._shard_map.node_to_shard, len(self._shard_map)
                 )
-        #: per-shard pass skip (multi-shard only): a shard whose cluster
-        #: slice, routed queue and active-job walltimes are unchanged since
-        #: its last planning pass — and whose earliest planned reservation
-        #: is still in the future — reuses that pass's outcome instead of
-        #: re-planning.  Disable for A/B equivalence runs.
+        #: per-shard delta planning (multi-shard only): a shard whose
+        #: cluster slice and walltime epoch are unchanged since its last
+        #: planning pass, whose earliest planned reservation is still in
+        #: the future and whose cached routed queue is a prefix of the
+        #: current one replays the cached outcome for that prefix and plans
+        #: only the appended jobs, on the cached end-of-walk profile.
+        #: Disable for A/B equivalence runs.
         self.shard_skip_enabled = True
         self._shard_pass_cache: dict[int, dict] = {}
         #: sticky job -> shard-index assignments, made least-loaded-first
@@ -149,15 +151,6 @@ class MauiScheduler:
         self._route_assign: dict[str, tuple] = {}
         self._route_memo: dict = {}
         self._route_memo_version = -1
-        #: job_id -> (allocation, touched-shard tuple); allocations are
-        #: immutable (expansion rebinds ``job.allocation``), so identity
-        #: comparison detects any change — see :meth:`_shard_fingerprints`
-        self._touched_memo: dict = {}
-        #: ((shard versions, walltime epoch), {sid: active-sig tuple});
-        #: every active-set or allocation change bumps a shard version and
-        #: extensions bump the epoch, so an unchanged key proves the whole
-        #: signature structure is current
-        self._active_sig_cache: tuple | None = None
         #: availability-profile cache: one profile per partition view, valid
         #: for a single (server state, cluster state, sim time) snapshot.
         #: Disable to benchmark the uncached hot path.
@@ -184,10 +177,10 @@ class MauiScheduler:
         #: last full pass are skipped (statistics still accrue).  Disable to
         #: restore unconditional iterations (A/B tests, benchmarks).
         self.iteration_skip_enabled = True
-        #: (server.state_version, cluster.version) at the *start* of the
-        #: last full iteration — the quiescence fingerprint.  A pass that
-        #: changed anything leaves the live counters past this snapshot and
-        #: therefore never arms the skip.
+        #: (server.state_version, cluster.version) at the *end* of the last
+        #: full iteration that reached its fixpoint — the quiescence
+        #: fingerprint (see :meth:`iteration`); None while the last pass
+        #: left work for its echo wake-up.
         self._last_pass_state: tuple[int, int] | None = None
         #: set by time-anchored wakes (reservation boundaries, maintenance
         #: window edges) whose whole point is that *time*, not state, changed
@@ -275,8 +268,6 @@ class MauiScheduler:
         self._shard_pass_cache.clear()
         self._route_memo.clear()
         self._route_memo_version = -1
-        self._touched_memo.clear()
-        self._active_sig_cache = None
         self.request_iteration(force=True)
 
     def _run_iteration(self) -> None:
@@ -543,14 +534,6 @@ class MauiScheduler:
         if prof is not None:
             prof.begin("sched_iteration", sim_time=now)
         self.stats["iterations"] += 1
-        # fingerprint taken *before* the pass: an iteration that starts,
-        # grants or preempts anything bumps the version counters past this
-        # snapshot, so the echo wake-up it triggers re-runs a full pass
-        # (a fresh start moves where blocked jobs' reservations land, which
-        # can unlock further backfill — the fixpoint semantics of the
-        # original always-iterate loop).  Only a pass that changed nothing
-        # arms the skip, and re-running a provable no-op is safe.
-        self._last_pass_state = (self.server.state_version, self.cluster.version)
         self._update_statistics(now)
 
         if self.server.dyn_queue:
@@ -573,7 +556,32 @@ class MauiScheduler:
         outcome: dict[str, tuple[str, str | None]] | None = (
             {} if ledger is not None else None
         )
+        all_eligible = len(ordered) == len(self.server.queue)
+        walk_version = self.server.state_version
         started, backfilled = self._start_static(ordered, now, lockdown, outcome=outcome)
+        # Fixpoint rule: the echo wake-up this pass's own starts trigger
+        # would re-walk the same queue minus the started jobs on the same
+        # profile (each start is claimed in the working profile exactly as
+        # the cluster then holds it), so it provably starts nothing when
+        #   * every start preceded the first blocked job (no backfill: a
+        #     backfill start can move where the blocked jobs' reservations
+        #     land and unlock further backfill),
+        #   * the only state changes during the walk were those starts,
+        #   * every queued job was eligible (a start can open a gate, such
+        #     as an ``after`` dependency or a per-user eligibility cap, and
+        #     let a held-back job in), and
+        #   * the ESP lockdown is unchanged (a started Z job lifts it).
+        # Such a pass arms the quiescence fingerprint with the post-pass
+        # counters, so its echo is skipped; any other pass leaves it unset.
+        if (
+            backfilled == 0
+            and self.server.state_version == walk_version + started
+            and all_eligible
+            and (not lockdown or self.server.queue.has_top_priority_job)
+        ):
+            self._last_pass_state = (self.server.state_version, self.cluster.version)
+        else:
+            self._last_pass_state = None
         if prof is not None:
             prof.begin("wrap_up")
         if ledger is not None:
@@ -1325,65 +1333,25 @@ class MauiScheduler:
     def _shard_fingerprints(
         self, ordered: list[Job], routes: list[SchedulerShard | None]
     ) -> dict[int, tuple]:
-        """Per-shard quiescence fingerprint for the per-shard pass skip.
+        """Per-shard fingerprint ``(shard version, walltime epoch, routed)``.
 
         A shard's planning outcome is a pure function of (its cluster
-        slice, the jobs routed to it in pass order, the walltime ends of
-        active jobs touching its nodes).  The shard version counter covers
-        claims/releases/node events; the active-walltime signature covers
-        walltime extensions, which move a shard's future releases without
-        any cluster bump; the routed tuple covers queue membership and
-        relative priority order.
+        slice, the walltime ends of the active jobs touching its nodes, the
+        jobs routed to it in pass order).  The shard version counter covers
+        every claim, release and node event on the shard's nodes, and with
+        them active-set membership and allocations; the server's walltime
+        epoch covers extensions, the one mutation that moves a future
+        release without a cluster bump.  The routed tuple lists each job's
+        ``(job_id, walltime, request)`` in pass order, so queue membership,
+        relative priority order and a ``qalter`` of a queued job all show.
         """
-        shards = self._shard_map.shards
-        routed: dict[int, list[str]] = {s.index: [] for s in shards}
+        routed: dict[int, list[tuple]] = {s.index: [] for s in self._shard_map.shards}
         for job, route in zip(ordered, routes):
             if route is not None:
-                routed[route.index].append(job.job_id)
+                routed[route.index].append((job.job_id, job.walltime, job.request))
         versions = self.cluster.shard_versions
-        # the active-signature structure is a pure function of (shard
-        # versions, walltime epoch): any membership or allocation change
-        # bumps a shard version via claim/release, and the one mutation
-        # that moves a release without touching the cluster — a walltime
-        # extension — bumps the server's epoch
-        sig_key = (tuple(versions), self.server.walltime_epoch)
-        cache = self._active_sig_cache
-        if cache is not None and cache[0] == sig_key:
-            active = cache[1]
-        else:
-            lists: dict[int, list[tuple[int, float]]] = {s.index: [] for s in shards}
-            node_to_shard = self._shard_map.node_to_shard
-            # touched shards are a pure function of the (immutable)
-            # allocation; memoize per job on allocation identity —
-            # expansion rebinds ``job.allocation`` so a changed set always
-            # misses.  Rebuilding the memo dict every pass prunes finished
-            # jobs for free.
-            memo = self._touched_memo
-            fresh: dict = {}
-            for job in self.server.active_jobs():
-                alloc = job.allocation
-                assert alloc is not None
-                cached = memo.get(job.job_id)
-                if cached is None or cached[0] is not alloc:
-                    touched = {
-                        node_to_shard[n] for n in alloc if n in node_to_shard
-                    }
-                    cached = (alloc, tuple(sorted(touched)))
-                fresh[job.job_id] = cached
-                sig = (job.seq, job.walltime_end)
-                for sid in cached[1]:
-                    lists[sid].append(sig)
-            self._touched_memo = fresh
-            active = {sid: tuple(sigs) for sid, sigs in lists.items()}
-            self._active_sig_cache = (sig_key, active)
-        return {
-            s.index: (
-                versions[s.index],
-                tuple(routed[s.index]),
-                active[s.index],
-            )
-            for s in shards
-        }
+        epoch = self.server.walltime_epoch
+        return {sid: (versions[sid], epoch, tuple(keys)) for sid, keys in routed.items()}
 
     def _start_static_sharded(
         self,
@@ -1403,6 +1371,12 @@ class MauiScheduler:
         shard every operation is performed on the same profile in the same
         order, so the schedule is bit-identical to
         :meth:`_start_static_monolithic`.
+
+        With several shards, a shard whose cached plan still holds (see
+        ``shard_skip_enabled``) is planned by delta: its cached routed
+        prefix replays the cached outcome, and only jobs appended behind it
+        — typically a fresh submission — are planned, on the cached
+        end-of-walk profile advanced to ``now``.
         """
         prof = self._prof
         if prof is not None:
@@ -1414,17 +1388,16 @@ class MauiScheduler:
         ledger = self._ledger
 
         if multi and not ordered:
-            # empty queue: nothing to plan or block.  Clearing the pass
-            # cache instead of re-fingerprinting is exact — a future
-            # non-empty pass could never match an empty routed tuple, so
-            # the stored entry would be dead weight either way.
-            self._shard_pass_cache.clear()
+            # empty queue: nothing to plan or block.  Cached plans stay:
+            # each remains exact for its shard until a version or epoch
+            # bump, a due reservation or a routed mismatch retires it.
             self._next_reservation_start = None
             if prof is not None:
                 prof.end()
             return 0, 0
 
         fingerprint = self._fingerprint(now)
+        walk_version = self.server.state_version
 
         if multi:
             loads = {shard.index: 0 for shard in shards}
@@ -1434,7 +1407,7 @@ class MauiScheduler:
         else:
             routes = [shards[0]] * len(ordered)
 
-        # Per-shard skip preconditions.  Soundness rests on profiles being
+        # Delta-planning preconditions.  Soundness rests on profiles being
         # release-only between state changes (free cores non-decreasing in
         # time, so fits/earliest-fit outcomes are time-stable until the
         # earliest planned reservation start); spanning jobs, lockdown,
@@ -1451,23 +1424,40 @@ class MauiScheduler:
             and all(route is not None for route in routes)
         )
         fingerprints = self._shard_fingerprints(ordered, routes) if multi else None
-        skipped: dict[int, dict] = {}
+        hits: dict[int, dict] = {}
+        replay_left: dict[int, int] = {}
         if skip_ok:
-            for shard in shards:
-                cached = self._shard_pass_cache.get(shard.index)
-                if cached is None or cached["fingerprint"] != fingerprints[shard.index]:
+            for sid, (version, epoch, routed) in fingerprints.items():
+                cached = self._shard_pass_cache.get(sid)
+                if cached is None:
+                    continue
+                c_version, c_epoch, c_routed = cached["fingerprint"]
+                if (
+                    c_version != version
+                    or c_epoch != epoch
+                    or routed[: len(c_routed)] != c_routed
+                ):
                     continue
                 res_start = cached["min_res_start"]
                 if res_start is not None and now >= res_start:
                     continue  # a cached reservation is due: replan the shard
-                skipped[shard.index] = cached
+                hits[sid] = cached
+                replay_left[sid] = len(c_routed)
 
         workings: dict[int, AvailabilityProfile] = {}
 
         def working_for(shard: SchedulerShard) -> AvailabilityProfile:
             profile = workings.get(shard.index)
             if profile is None:
-                profile = self._build_profile(shard if multi else partitions)
+                cached = hits.get(shard.index)
+                profile = cached["profile"] if cached is not None else None
+                if profile is None:
+                    profile = self._build_profile(shard if multi else partitions)
+                elif profile.now != now:
+                    # the cached end-of-walk plan: release-only up to its
+                    # first reservation, so on [now, inf) it equals a fresh
+                    # build carrying the replayed prefix's claims
+                    profile.advance_to(now)
                 workings[shard.index] = profile
             return profile
 
@@ -1483,15 +1473,20 @@ class MauiScheduler:
         res_counts = {shard.index: 0 for shard in shards}
         shard_blocked: dict[int, set[str]] = {shard.index: set() for shard in shards}
         shard_min_res: dict[int, float | None] = {shard.index: None for shard in shards}
+        # shards that started a job behind one of their own blocked jobs
+        # (their walk is not at its fixpoint) and the jobs started this pass
+        shard_backfilled: set[int] = set()
+        started_ids: set[str] = set()
         started = 0
         backfilled = 0
         passed_blocked = False
         stopped_at: int | None = None
         self._next_reservation_start = None
-        for cached in skipped.values():
-            # a skipped shard's planned reservations still anchor the
+        for sid, cached in hits.items():
+            res_counts[sid] = cached["reservations"]
+            # a cached shard's planned reservations still anchor the
             # boundary wake
-            res_start = cached["min_res_start"]
+            res_start = shard_min_res[sid] = cached["min_res_start"]
             if res_start is not None and (
                 self._next_reservation_start is None
                 or res_start < self._next_reservation_start
@@ -1500,11 +1495,12 @@ class MauiScheduler:
 
         for idx, job in enumerate(ordered):
             route = routes[idx]
-            if route is not None and route.index in skipped:
-                # replayed outcome: still blocked (labels later backfill)
-                # or still can-never-fit (contributes nothing), exactly as
-                # the cached full pass decided
-                if job.job_id in skipped[route.index]["blocked"]:
+            if route is not None and replay_left.get(route.index):
+                # cached prefix: still blocked (labels later backfill) or
+                # still can-never-fit (contributes nothing), exactly as the
+                # cached walk decided; its claims live in the cached profile
+                replay_left[route.index] -= 1
+                if job.job_id in hits[route.index]["blocked"]:
                     blocked_ids.append(job.job_id)
                     passed_blocked = True
                 continue
@@ -1571,6 +1567,10 @@ class MauiScheduler:
                     )
                 self.server.start_job(job, alloc, backfilled=passed_blocked)
                 self._route_assign.pop(job.job_id, None)
+                if skip_ok:
+                    if shard_blocked[sid] or (sid in hits and hits[sid]["blocked"]):
+                        shard_backfilled.add(sid)
+                    started_ids.add(job.job_id)
                 if passed_blocked:
                     self.stats["jobs_backfilled"] += 1
                     backfilled += 1
@@ -1684,22 +1684,42 @@ class MauiScheduler:
             for job in ordered[stopped_at + 1 :]:
                 outcome[job.job_id] = ("backfill_blocked", reason)
         if multi:
-            if skip_ok and stopped_at is None:
-                for shard in shards:
-                    if shard.index in skipped:
+            cache = self._shard_pass_cache
+            if (
+                skip_ok
+                and stopped_at is None
+                and self.server.state_version == walk_version + started + backfilled
+            ):
+                # Post-pass entries: a shard whose walk reached its fixpoint
+                # (no start behind one of its own blocked jobs) is stored
+                # under its post-walk version and routed queue, with its
+                # end-of-walk profile, so the next trigger — the echo of
+                # this pass's starts included — finds it current.
+                versions = self.cluster.shard_versions
+                epoch = self.server.walltime_epoch
+                for sid, (_version, _epoch, routed) in fingerprints.items():
+                    cached = hits.get(sid)
+                    if cached is not None:
                         self.stats["shard_passes_skipped"] += 1
+                        if sid not in workings:
+                            continue  # nothing appended: the entry stands
+                    if sid in shard_backfilled:
+                        cache.pop(sid, None)
                         continue
-                    # pre-walk fingerprint on purpose: a shard that started
-                    # anything has bumped its version past it, so the next
-                    # pass re-plans (the fixpoint semantics of the echo
-                    # wake-up), while an unchanged shard skips
-                    self._shard_pass_cache[shard.index] = {
-                        "fingerprint": fingerprints[shard.index],
-                        "blocked": frozenset(shard_blocked[shard.index]),
-                        "min_res_start": shard_min_res[shard.index],
+                    if started_ids:
+                        routed = tuple(k for k in routed if k[0] not in started_ids)
+                    blocked = frozenset(shard_blocked[sid])
+                    if cached is not None:
+                        blocked |= cached["blocked"]
+                    cache[sid] = {
+                        "fingerprint": (versions[sid], epoch, routed),
+                        "blocked": blocked,
+                        "min_res_start": shard_min_res[sid],
+                        "reservations": res_counts[sid],
+                        "profile": workings.get(sid),
                     }
             else:
-                self._shard_pass_cache.clear()
+                cache.clear()
         if prof is not None:
             prof.end()
         return started, backfilled

@@ -90,8 +90,7 @@ class Server:
         self._active_jobs_cache_version: int = -1
         #: bumps whenever a *running* job's walltime is extended — the one
         #: mutation that moves a future release without touching cluster
-        #: state; the scheduler's per-shard quiescence fingerprints key
-        #: their active-job signature cache on it
+        #: state; the scheduler's per-shard plan fingerprints include it
         self.walltime_epoch: int = 0
         self._apps: dict[str, Application | None] = {}
         self._contexts: dict[str, TMContext] = {}

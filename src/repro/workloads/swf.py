@@ -14,6 +14,7 @@ Field reference: http://www.cs.huji.ac.il/labs/parallel/workload/swf.html
 
 from __future__ import annotations
 
+import math
 from typing import IO, Iterable, Iterator
 
 from repro.apps.synthetic import FixedRuntimeApp
@@ -117,6 +118,25 @@ def _iter_lines(source: str | IO[str] | Iterable[str], chunk_size: int) -> Itera
     yield from source
 
 
+def _reject_non_finite(fields: list[str], lineno: int, raw: str) -> None:
+    """Raise if any numeric field is nan or infinite.
+
+    SWF marks missing data with ``-1``; a non-finite value is corruption,
+    and a ``nan`` runtime would otherwise complete its job at ``t = nan``
+    and silently poison the rest of the schedule.
+    """
+    for number, text in enumerate(fields, start=1):
+        try:
+            value = float(text)
+        except ValueError:
+            continue
+        if not math.isfinite(value):
+            raise ValueError(
+                f"SWF line {lineno}: field {number} is {text!r}, "
+                f"expected a finite number: {raw!r}"
+            )
+
+
 def from_swf(
     source: str | IO[str] | Iterable[str],
     *,
@@ -135,16 +155,20 @@ def from_swf(
     Uses requested processors (field 8, falling back to field 5), run time
     (field 4) and requested time (field 9, falling back to
     ``runtime * walltime_factor``).  Jobs with unusable size or runtime are
-    skipped — SWF archives mark missing data with ``-1``.
+    skipped — SWF archives mark missing data with ``-1``.  A ``nan`` or
+    infinite numeric field raises ``ValueError`` naming its line number.
     """
     specs: list[JobSpec] = []
-    for raw in _iter_lines(source, chunk_size):
+    for lineno, raw in enumerate(_iter_lines(source, chunk_size), start=1):
         line = raw.split(";", 1)[0].strip()
         if not line:
             continue
         fields = line.split()
         if len(fields) < 18:
             raise ValueError(f"SWF line has {len(fields)} fields, expected 18: {raw!r}")
+        if "n" in line or "N" in line:
+            # every spelling float() accepts for nan/inf contains an n
+            _reject_non_finite(fields[:18], lineno, raw)
         (
             _job,
             submit,
@@ -160,7 +184,7 @@ def from_swf(
             user_id,
             group_id,
             *_rest,
-        ) = (float(f) for f in fields[:13])
+        ) = map(float, fields[:13])
         procs = int(req_procs if req_procs > 0 else alloc_procs)
         if procs <= 0 or runtime <= 0:
             continue

@@ -190,6 +190,22 @@ class TestSWFImport:
         with pytest.raises(ValueError):
             from_swf("1 2 3\n")
 
+    @pytest.mark.parametrize(
+        "field, text", [(4, "nan"), (2, "inf"), (9, "-Infinity"), (8, "NaN"), (17, "nan")]
+    )
+    def test_non_finite_field_rejected_with_line_number(self, field, text):
+        lines = self.SAMPLE.splitlines()
+        fields = lines[2].split()  # job 2, on line 3 of the trace
+        fields[field - 1] = text
+        lines[2] = " ".join(fields)
+        with pytest.raises(ValueError, match=rf"line 3: field {field} is '{text}'"):
+            from_swf("\n".join(lines) + "\n")
+
+    def test_finite_trace_still_parses_with_comment_letters(self):
+        # an "n" in a comment is not a number and must not trip the check
+        wl = from_swf("; generated on a machine\n" + self.SAMPLE)
+        assert wl.total_jobs == 2
+
     def test_replay_through_batch_system(self):
         system = BatchSystem(2, 8, MauiConfig())
         jobs = from_swf(self.SAMPLE).submit_to(system)

@@ -312,19 +312,79 @@ class TestIterationSkip:
         assert system.scheduler.stats["iterations"] >= 2
         assert system.scheduler.stats["iterations_skipped"] == 0
 
-    def test_productive_iteration_never_arms_the_skip(self):
-        # an iteration that starts a job changes state mid-pass; the echo
-        # wake-up it triggers must run another full pass (reservations can
-        # land differently once the job actually occupies its cores)
+    def test_fixpoint_pass_elides_its_echo_and_backfill_pass_keeps_it(self):
+        # Side 1: every start precedes the first blocked job, so the echo
+        # wake-up of those starts would re-walk the same profile and start
+        # nothing.  The pass arms the skip at its end and the echo is
+        # elided; with the skip off the echo runs and indeed starts nothing.
+        def fixpoint_run(skip):
+            system = BatchSystem(2, 8, MauiConfig())
+            system.scheduler.iteration_skip_enabled = skip
+            a = system.submit(rigid(8, 100), FixedRuntimeApp(100))
+            wide = system.submit(rigid(16, 200), FixedRuntimeApp(200))
+            system.engine.run(until=1.0)
+            passes = [
+                e.payload for e in system.trace if e.kind is EventKind.SCHED_ITERATION
+            ]
+            stats = dict(system.scheduler.stats)
+            system.run()
+            return (a.start_time, wide.start_time), passes, stats
+
+        times_on, passes_on, stats_on = fixpoint_run(True)
+        times_off, passes_off, stats_off = fixpoint_run(False)
+        assert times_on == times_off == (0.0, 100.0)
+        assert [(p["started"], p["backfilled"]) for p in passes_on] == [(1, 0)]
+        assert (stats_on["iterations"], stats_on["iterations_skipped"]) == (1, 1)
+        assert [(p["started"], p["backfilled"]) for p in passes_off] == [
+            (1, 0),
+            (0, 0),
+        ]
+        assert stats_off["iterations_skipped"] == 0
+
+        # Side 2: a backfill start is not a fixpoint.  The blocked 18-core
+        # job's reservation was laid out before the 1-core job backfilled;
+        # in the echo it packs onto that job's node instead, which opens a
+        # hole on node 1 where the 4-core job starts — only in the echo.
+        system = BatchSystem(
+            3, 8, MauiConfig(reservation_depth=2, reservation_delay_depth=2)
+        )
+        system.submit(rigid(9, 400, user="r"), FixedRuntimeApp(400))
+        system.engine.run(until=0.5)
+        queued = [
+            rigid(18, 50, user="big"),
+            rigid(1, 1000, user="x"),
+            rigid(13, 600, user="y"),
+            rigid(4, 1000, user="z"),
+        ]
+        for job in queued:
+            system.submit_at(1.0, job, FixedRuntimeApp(job.walltime))
+        system.engine.run(until=2.0)
+        big, x, y, z = queued
+        passes = [
+            (e.payload["started"], e.payload["backfilled"])
+            for e in system.trace
+            if e.kind is EventKind.SCHED_ITERATION and e.time == 1.0
+        ]
+        # backfill pass, its echo (starts z), then the echo's own echo
+        assert passes == [(0, 1), (0, 1), (0, 0)]
+        assert x.start_time == 1.0 and x.backfilled
+        assert z.start_time == 1.0 and z.backfilled
+        assert dict(z.allocation.items()) == {1: 4}
+        assert big.state is JobState.QUEUED and y.state is JobState.QUEUED
+
+    def test_start_that_opens_an_after_dependency_keeps_its_echo(self):
+        # a start can make a dependency-held job eligible; such a pass is
+        # not a fixpoint, and the echo must start the dependent job
         system = BatchSystem(2, 8, MauiConfig())
-        scheduler = system.scheduler
-        system.submit(rigid(4, 50), FixedRuntimeApp(50))
+        first = system.submit(rigid(4, 50), FixedRuntimeApp(50))
+        follower = system.submit(
+            rigid(4, 50, depends_on=first.job_id, dependency_type="after"),
+            FixedRuntimeApp(50),
+        )
         system.engine.run(until=1.0)
-        assert scheduler.stats["jobs_started"] == 1
-        # submit wake (starts the job) + its echo both ran full passes;
-        # the start bumped the versions past the first pass's fingerprint
-        assert scheduler.stats["iterations"] == 2
-        assert scheduler.stats["iterations_skipped"] == 0
+        assert first.start_time == 0.0
+        assert follower.start_time == 0.0
+        assert system.scheduler.stats["iterations"] >= 2
 
     def test_skip_on_and_off_schedules_are_identical(self):
         from repro.workloads.random_workload import make_random_workload

@@ -201,6 +201,144 @@ def test_shard_skip_does_not_change_schedule():
     assert off_stats["shard_passes_skipped"] == 0
 
 
+def _rigid(cores, walltime, user):
+    from repro.jobs.job import Job
+
+    return Job(request=ResourceRequest(cores=cores), walltime=walltime, user=user)
+
+
+@pytest.mark.parametrize("skip", [True, False])
+def test_qalter_of_queued_job_replans_its_shard(skip):
+    """A walltime cut must reach the cached shard plan.
+
+    Shard 0 (nodes 0-1) runs A (6c until t=100) and plans B (8c) at
+    t=100 with C (2c, 500 s) blocked behind it.  At t=10 ``qalter`` cuts
+    C to 50 s, which now fits the 2 idle cores before B's reservation.
+    Only job ids in the fingerprint would replay C's stale "blocked"
+    outcome until t=200; the walltime in the routed key re-plans now.
+    """
+    from repro.apps.synthetic import FixedRuntimeApp
+    from repro.rms.client import qalter
+
+    system = BatchSystem(4, 4, MauiConfig(scheduler_shards=2))
+    system.scheduler.shard_skip_enabled = skip
+    a = system.submit(_rigid(6, 100, "a"), FixedRuntimeApp(100))
+    d = system.submit(_rigid(8, 1000, "d"), FixedRuntimeApp(1000))
+    b, e, c = _rigid(8, 100, "b"), _rigid(8, 100, "e"), _rigid(2, 500, "c")
+    for job in (b, e, c):
+        system.submit_at(1.0, job, FixedRuntimeApp(job.walltime))
+    system.engine.at(10.0, lambda: qalter(system.server, c, walltime=50))
+    system.run()
+    assert (a.start_time, d.start_time) == (0.0, 0.0)
+    assert c.start_time == 10.0
+    assert b.start_time == 100.0
+
+
+def test_submission_is_planned_on_the_cached_shard_plans():
+    """A fresh submission re-plans nothing: both shards' cached routed
+    queues are prefixes of the new ones, so the blocked jobs' outcomes are
+    replayed and only the new job is planned, on the cached profile."""
+    from repro.apps.synthetic import FixedRuntimeApp
+
+    def run(skip):
+        system = BatchSystem(4, 4, MauiConfig(scheduler_shards=2))
+        scheduler = system.scheduler
+        scheduler.shard_skip_enabled = skip
+        system.submit(_rigid(6, 100, "a"), FixedRuntimeApp(100))
+        system.submit(_rigid(8, 1000, "d"), FixedRuntimeApp(1000))
+        system.submit_at(1.0, _rigid(8, 100, "b"), FixedRuntimeApp(100))
+        system.submit_at(1.0, _rigid(8, 100, "e"), FixedRuntimeApp(100))
+        # routed to shard 0; too long for the hole before B's reservation
+        late = _rigid(2, 500, "late")
+        system.submit_at(5.0, late, FixedRuntimeApp(500))
+        system.engine.run(until=4.0)
+        stats = scheduler.stats
+        before = (
+            stats["profile_builds"] + stats["profile_advances"]
+            + stats["profile_cache_hits"],
+            stats["shard_passes_skipped"],
+        )
+        system.engine.run(until=6.0)
+        after = (
+            stats["profile_builds"] + stats["profile_advances"]
+            + stats["profile_cache_hits"],
+            stats["shard_passes_skipped"],
+        )
+        system.run()
+        return late.start_time, before, after
+
+    start_on, before, after = run(True)
+    start_off, *_ = run(False)
+    assert start_on == start_off == 200.0
+    assert after[0] == before[0]  # no shard profile built or advanced
+    assert after[1] == before[1] + 2  # both shards served from cache
+
+
+def test_delta_planning_keeps_the_cached_reservation_depth():
+    """Appended jobs plan with the prefix's reservation count.
+
+    Depth 1: B holds shard 0's one reservation (node 0 from t=100).  The
+    appended 3-core job is blocked and, depth spent, gets no reservation,
+    so node 1's two idle cores stay free for the 2-core job submitted
+    next, which starts at once exactly as in a full re-plan.
+    """
+    from repro.apps.synthetic import FixedRuntimeApp
+
+    def run(skip):
+        config = MauiConfig(
+            reservation_depth=1, reservation_delay_depth=1, scheduler_shards=2
+        )
+        system = BatchSystem(4, 4, config)
+        system.scheduler.shard_skip_enabled = skip
+        system.submit(_rigid(6, 100, "a"), FixedRuntimeApp(100))
+        system.submit(_rigid(8, 1000, "d"), FixedRuntimeApp(1000))
+        system.submit_at(1.0, _rigid(4, 100, "b"), FixedRuntimeApp(100))
+        system.submit_at(1.0, _rigid(8, 100, "e"), FixedRuntimeApp(100))
+        system.submit_at(5.0, _rigid(3, 300, "late1"), FixedRuntimeApp(300))
+        late2 = _rigid(2, 150, "late2")
+        system.submit_at(6.0, late2, FixedRuntimeApp(150))
+        system.run()
+        return late2.start_time, system.scheduler.stats["shard_passes_skipped"]
+
+    start_on, skipped = run(True)
+    start_off, _ = run(False)
+    assert start_on == start_off == 6.0
+    assert skipped > 0
+
+
+def test_backfilled_shard_is_replanned_by_the_echo():
+    """A shard that backfilled is not at its fixpoint and must not be
+    cached under its post-walk state: the echo re-plans it and starts
+    the job that only fits once the blocked job's reservation is laid out
+    around the backfilled one.  The scenario is mirrored on both shards
+    (3 nodes x 8 cores each; routing alternates), one copy per shard."""
+    from repro.apps.synthetic import FixedRuntimeApp
+
+    def run(skip):
+        config = MauiConfig(
+            reservation_depth=2, reservation_delay_depth=2, scheduler_shards=2
+        )
+        system = BatchSystem(6, 8, config)
+        system.scheduler.shard_skip_enabled = skip
+        for copy in (0, 1):
+            system.submit(_rigid(9, 400, f"r{copy}"), FixedRuntimeApp(400))
+        queued = [
+            _rigid(cores, walltime, f"{name}{copy}")
+            for cores, walltime, name in (
+                (18, 50, "big"), (1, 1000, "x"), (13, 600, "y"), (4, 1000, "z")
+            )
+            for copy in (0, 1)
+        ]
+        for job in queued:
+            system.submit_at(1.0, job, FixedRuntimeApp(job.walltime))
+        system.run()
+        return {job.user: job.start_time for job in queued}
+
+    starts = run(True)
+    assert starts == run(False)
+    assert starts["z0"] == starts["z1"] == 1.0
+
+
 # ----------------------------------------------------------------------
 # shard map construction
 # ----------------------------------------------------------------------
