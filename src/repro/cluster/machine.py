@@ -41,8 +41,9 @@ class Cluster:
         self._free_cache: dict = {}
         self._free_cache_version: int = -1
         #: per-shard monotone version counters (installed by the sharded
-        #: scheduler); index ``shard_versions[s]`` bumps whenever a claim,
-        #: release or node state change touches a node of shard ``s``
+        #: scheduler at any shard count, one included); index
+        #: ``shard_versions[s]`` bumps whenever a claim, release or node
+        #: state change touches a node of shard ``s``
         self.shard_versions: list[int] = []
         self._shard_of_node: dict[int, int] | None = None
         #: bumps only on node fail/recover — UP *capacity* (what shard

@@ -129,11 +129,10 @@ class MauiScheduler:
                 max(1, self.config.scheduler_shards),
                 partitions=static_partitions(self.config),
             )
-            if len(self._shard_map) > 1:
-                cluster.install_shard_index(
-                    self._shard_map.node_to_shard, len(self._shard_map)
-                )
-        #: per-shard delta planning (multi-shard only): a shard whose
+            cluster.install_shard_index(
+                self._shard_map.node_to_shard, len(self._shard_map)
+            )
+        #: per-shard delta planning, at any shard count: a shard whose
         #: cluster slice and walltime epoch are unchanged since its last
         #: planning pass, whose earliest planned reservation is still in
         #: the future and whose cached routed queue is a prefix of the
@@ -1098,7 +1097,7 @@ class MauiScheduler:
         With ``scheduler_shards >= 1`` (the default) the pass runs sharded
         (:meth:`_start_static_sharded`); ``scheduler_shards == 0`` keeps
         this monolithic walk — the A/B oracle the single-shard path is
-        pinned bit-identical against.
+        pinned against (bit-identical with delta planning off).
         """
         if self.sharded_pass_enabled:
             return self._start_static_sharded(ordered, now, lockdown, outcome=outcome)
@@ -1372,11 +1371,13 @@ class MauiScheduler:
         order, so the schedule is bit-identical to
         :meth:`_start_static_monolithic`.
 
-        With several shards, a shard whose cached plan still holds (see
-        ``shard_skip_enabled``) is planned by delta: its cached routed
-        prefix replays the cached outcome, and only jobs appended behind it
-        — typically a fresh submission — are planned, on the cached
-        end-of-walk profile advanced to ``now``.
+        At any shard count, one included, a shard whose cached plan still
+        holds (see ``shard_skip_enabled``) is planned by delta: its cached
+        routed prefix replays the cached outcome, and only jobs appended
+        behind it — typically a fresh submission — are planned, on the
+        cached end-of-walk profile advanced to ``now``.  Its replayed
+        reservations are not created again, so with delta planning on only
+        the schedule, not the work counters, matches the monolithic pass.
         """
         prof = self._prof
         if prof is not None:
@@ -1414,8 +1415,7 @@ class MauiScheduler:
         # disabled backfill, admin reservations and ledger/outcome
         # collection all fall back to full planning.
         skip_ok = (
-            multi
-            and self.shard_skip_enabled
+            self.shard_skip_enabled
             and outcome is None
             and ledger is None
             and not lockdown
@@ -1423,7 +1423,7 @@ class MauiScheduler:
             and not self.config.admin_reservations
             and all(route is not None for route in routes)
         )
-        fingerprints = self._shard_fingerprints(ordered, routes) if multi else None
+        fingerprints = self._shard_fingerprints(ordered, routes)
         hits: dict[int, dict] = {}
         replay_left: dict[int, int] = {}
         if skip_ok:
@@ -1463,8 +1463,8 @@ class MauiScheduler:
 
         if not multi:
             # the monolithic pass builds its profile unconditionally (even
-            # with an empty queue); matching that keeps the single-shard
-            # cache/build counters bit-identical to the legacy oracle
+            # with an empty queue); matching that keeps the delta-off
+            # single-shard build counters bit-identical to the legacy oracle
             working_for(shards[0])
 
         blocked_ids: list[str] = []
@@ -1683,43 +1683,42 @@ class MauiScheduler:
                 reason = f"blocked top-priority job {ordered[stopped_at].job_id}"
             for job in ordered[stopped_at + 1 :]:
                 outcome[job.job_id] = ("backfill_blocked", reason)
-        if multi:
-            cache = self._shard_pass_cache
-            if (
-                skip_ok
-                and stopped_at is None
-                and self.server.state_version == walk_version + started + backfilled
-            ):
-                # Post-pass entries: a shard whose walk reached its fixpoint
-                # (no start behind one of its own blocked jobs) is stored
-                # under its post-walk version and routed queue, with its
-                # end-of-walk profile, so the next trigger — the echo of
-                # this pass's starts included — finds it current.
-                versions = self.cluster.shard_versions
-                epoch = self.server.walltime_epoch
-                for sid, (_version, _epoch, routed) in fingerprints.items():
-                    cached = hits.get(sid)
-                    if cached is not None:
-                        self.stats["shard_passes_skipped"] += 1
-                        if sid not in workings:
-                            continue  # nothing appended: the entry stands
-                    if sid in shard_backfilled:
-                        cache.pop(sid, None)
-                        continue
-                    if started_ids:
-                        routed = tuple(k for k in routed if k[0] not in started_ids)
-                    blocked = frozenset(shard_blocked[sid])
-                    if cached is not None:
-                        blocked |= cached["blocked"]
-                    cache[sid] = {
-                        "fingerprint": (versions[sid], epoch, routed),
-                        "blocked": blocked,
-                        "min_res_start": shard_min_res[sid],
-                        "reservations": res_counts[sid],
-                        "profile": workings.get(sid),
-                    }
-            else:
-                cache.clear()
+        cache = self._shard_pass_cache
+        if (
+            skip_ok
+            and stopped_at is None
+            and self.server.state_version == walk_version + started + backfilled
+        ):
+            # Post-pass entries: a shard whose walk reached its fixpoint
+            # (no start behind one of its own blocked jobs) is stored
+            # under its post-walk version and routed queue, with its
+            # end-of-walk profile, so the next trigger — the echo of
+            # this pass's starts included — finds it current.
+            versions = self.cluster.shard_versions
+            epoch = self.server.walltime_epoch
+            for sid, (_version, _epoch, routed) in fingerprints.items():
+                cached = hits.get(sid)
+                if cached is not None:
+                    self.stats["shard_passes_skipped"] += 1
+                    if sid not in workings:
+                        continue  # nothing appended: the entry stands
+                if sid in shard_backfilled:
+                    cache.pop(sid, None)
+                    continue
+                if started_ids:
+                    routed = tuple(k for k in routed if k[0] not in started_ids)
+                blocked = frozenset(shard_blocked[sid])
+                if cached is not None:
+                    blocked |= cached["blocked"]
+                cache[sid] = {
+                    "fingerprint": (versions[sid], epoch, routed),
+                    "blocked": blocked,
+                    "min_res_start": shard_min_res[sid],
+                    "reservations": res_counts[sid],
+                    "profile": workings.get(sid),
+                }
+        else:
+            cache.clear()
         if prof is not None:
             prof.end()
         return started, backfilled

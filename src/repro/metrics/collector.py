@@ -142,9 +142,19 @@ class WorkloadMetrics:
         Normally reconstructed by replaying the trace; when the trace is a
         bounded ring that has dropped events, replay would under-count, so
         the telemetry busy-core integral (maintained live by the cluster
-        hooks, exact regardless of trace retention) is used instead.
+        hooks, exact regardless of trace retention) is used instead.  With
+        neither a whole trace nor a live integral there is no honest
+        answer, and a ``ValueError`` says so.
         """
-        if getattr(self._trace, "dropped", 0) and self._telemetry is not None:
+        dropped = getattr(self._trace, "dropped", 0)
+        if dropped:
+            if self._telemetry is None or not self._telemetry.enabled:
+                raise ValueError(
+                    f"utilization needs the whole run, but the trace ring "
+                    f"dropped {dropped} events: attach an enabled Telemetry "
+                    f"(live busy-core integral) or use an unbounded trace "
+                    f"(trace_maxlen=None)"
+                )
             busy = self._telemetry.busy_core_seconds(upto=self.last_end)
         else:
             busy = busy_core_seconds(self._trace, self.first_submit, self.last_end)

@@ -240,10 +240,16 @@ class SLOEngine:
             return latest["jain"]
         return latest["max_share_error"]
 
-    def _on_frame_close(self, frame) -> None:
+    def _on_frame_close(self, frame, now: float | None = None) -> None:
         if frame.index in self._evaluated:
             return
         self._evaluated.add(frame.index)
+        # a frame closes once a later event passes its end: stamp breaches
+        # at the close, never before the newest trace event, so the trace
+        # stays time-ordered (the window itself travels in the payload)
+        stamp = self._windows._frontier if now is None else now
+        if self._trace is not None and len(self._trace):
+            stamp = max(stamp, self._trace[-1].time)
         for state in self._states:
             obj = state.objective
             value = self._frame_value(obj, frame)
@@ -287,18 +293,20 @@ class SLOEngine:
                 counter.inc()
             if self._trace is not None:
                 self._trace.record(
-                    frame.end,
+                    stamp,
                     EventKind.SLO_BREACH,
                     objective=obj.text,
                     metric=obj.metric,
                     value=value,
                     threshold=obj.threshold,
                     window=frame.index,
+                    window_start=frame.start,
+                    window_end=frame.end,
                     job_id=job_id,
                 )
             if self._ledger is not None:
                 self._ledger.note_slo_breach(
-                    frame.end,
+                    stamp,
                     job_id,
                     {
                         "objective": obj.text,
@@ -324,7 +332,7 @@ class SLOEngine:
         if self.fairness is not None and now is not None:
             self.fairness.finalize(now)
         for frame in sorted(self._windows._open.values(), key=lambda f: f.index):
-            self._on_frame_close(frame)
+            self._on_frame_close(frame, now)
 
     # ------------------------------------------------------------------
     # queries & export

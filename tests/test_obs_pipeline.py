@@ -127,6 +127,18 @@ class TestRingBuffer:
         )
 
 
+    def test_bounded_utilization_without_telemetry_names_the_cause(self):
+        """No live integral and a truncated trace: say so, not a bogus
+        'negative busy-core count' from replaying half a run."""
+        bounded = run_system(trace_maxlen=50)
+        dropped = bounded.trace.dropped
+        assert dropped > 0
+        with pytest.raises(ValueError, match=f"dropped {dropped} events") as err:
+            bounded.metrics().utilization
+        assert "Telemetry" in str(err.value)
+        assert "unbounded trace" in str(err.value)
+
+
 class TestJsonl:
     def test_round_trip_reproduces_identical_events(self):
         system = run_system()

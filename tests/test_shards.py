@@ -3,9 +3,11 @@
 The contract under test, in order of importance:
 
 1. **Single-shard oracle**: with ``scheduler_shards=1`` (the default) the
-   sharded pass is *bit-identical* to the legacy monolithic pass
+   sharded pass gives the legacy monolithic pass's schedule
    (``scheduler_shards=0``) — same start/end times, same states, same
-   decision counters — across every seeded ESP configuration.
+   decision counters — across every seeded ESP configuration.  With delta
+   planning off it does the very same work, counter for counter; with it
+   on it does strictly less.
 2. **Multi-shard determinism**: the same seed always produces the same
    schedule, run-to-run, at any shard count.
 3. **Cross-shard merge**: a full-machine job (ESP Z) routes through the
@@ -37,10 +39,13 @@ def _config(name):
     return next(c for c in all_configurations() if c.name == name)
 
 
-def _run_esp(config, shards, *, num_nodes=8, cores_per_node=4, seed=2014):
+def _run_esp(
+    config, shards, *, skip=True, num_nodes=8, cores_per_node=4, seed=2014
+):
     """A compact ESP run (same machine as the profile-equivalence oracle)."""
     maui = dataclasses.replace(config.maui, scheduler_shards=shards)
     system = BatchSystem(num_nodes=num_nodes, cores_per_node=cores_per_node, config=maui)
+    system.scheduler.shard_skip_enabled = skip
     make_esp_workload(
         num_nodes * cores_per_node, dynamic=config.dynamic_workload, seed=seed
     ).submit_to(system)
@@ -60,15 +65,41 @@ def _run_esp(config, shards, *, num_nodes=8, cores_per_node=4, seed=2014):
 # ----------------------------------------------------------------------
 # 1. single-shard pass ≡ monolithic oracle
 # ----------------------------------------------------------------------
+DECISION_COUNTERS = (
+    "iterations",
+    "jobs_started",
+    "jobs_backfilled",
+    "dyn_granted",
+    "dyn_rejected",
+    "total_delay_charged",
+)
+
+
 @pytest.mark.parametrize("name", CONFIG_NAMES)
 def test_single_shard_bit_identical_to_monolithic(name):
+    """Two-sided: the same schedule always, the same work only without
+    delta planning.
+
+    Side 1: with ``shard_skip_enabled=False`` one shard performs every
+    operation of the monolithic pass, so every shared counter matches.
+    Side 2: with it on, the schedule and the decision counters still
+    match, but replayed prefixes re-create none of their reservations,
+    so the shard skips passes and plans fewer reservations.
+    """
     config = _config(name)
     mono_tuples, mono_stats, _ = _run_esp(config, shards=0)
-    shard_tuples, shard_stats, _ = _run_esp(config, shards=1)
-    assert shard_tuples == mono_tuples
+    full_tuples, full_stats, _ = _run_esp(config, shards=1, skip=False)
+    assert full_tuples == mono_tuples
     # the sharded pass adds its own counters; everything shared must match
     for key, value in mono_stats.items():
-        assert shard_stats[key] == value, key
+        assert full_stats[key] == value, key
+
+    delta_tuples, delta_stats, _ = _run_esp(config, shards=1)
+    assert delta_tuples == mono_tuples
+    for key in DECISION_COUNTERS:
+        assert delta_stats[key] == mono_stats[key], key
+    assert delta_stats["shard_passes_skipped"] > 0
+    assert delta_stats["reservations_created"] < mono_stats["reservations_created"]
 
 
 # ----------------------------------------------------------------------
@@ -410,6 +441,14 @@ class TestClusterShardBookkeeping:
         assert cluster.shard_versions == [2, 1]
         cluster.recover_node(3)
         assert cluster.shard_versions == [2, 2]
+
+    def test_single_shard_scheduler_counts_versions(self):
+        """Delta planning runs at one shard too, so the default scheduler
+        installs the index and its one counter tracks every claim."""
+        system = BatchSystem(2, 4)
+        assert system.cluster.shard_versions == [0]
+        system.cluster.claim(Allocation({1: 2}))
+        assert system.cluster.shard_versions == [1]
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 from repro.maui.config import MauiConfig
 from repro.obs import SLOEngine, Telemetry, parse_slo
-from repro.obs.ledger import DecisionLedger
+from repro.obs.ledger import DecisionKind, DecisionLedger
 from repro.obs.windows import WindowedMetrics
 from repro.sim.events import EventKind, TraceLog
 from repro.system import BatchSystem
@@ -150,6 +150,30 @@ class TestEngine:
         chain = ledger.causal_chain("job.9")
         assert any(d["kind"] == "slo_breach" for d in chain)
 
+    def test_breach_is_stamped_at_frame_close(self):
+        """A frame closes only once a later event passes its end; the
+        breach is stamped then, not at the (earlier) window end, so the
+        trace never runs backwards.  The window travels in the payload."""
+        trace = TraceLog()
+        ledger = DecisionLedger()
+        windows, engine = self._engine(
+            ["max_wait < 5"], trace=trace, ledger=ledger
+        )
+        windows.fold_job(_job("job.9", "alice", 0.0, 8.0, 9.0))
+        trace.record(23.0, EventKind.JOB_SUBMIT, job_id="job.10")
+        _advance(windows, 23.0)
+        (breach,) = [e for e in trace if e.kind == EventKind.SLO_BREACH]
+        assert breach.time == 23.0
+        assert (breach.payload["window_start"], breach.payload["window_end"]) == (
+            0.0,
+            10.0,
+        )
+        (decision,) = ledger.of_kind(DecisionKind.SLO_BREACH)
+        assert decision.time == 23.0
+        assert decision.payload["window_end"] == 10.0
+        times = [e.time for e in trace]
+        assert times == sorted(times)
+
     def test_finalize_evaluates_open_frames_once(self):
         windows, engine = self._engine(["max_wait < 5"])
         windows.fold_job(_job("job.1", "alice", 0.0, 8.0, 9.0))
@@ -217,6 +241,22 @@ class TestEndToEnd:
         )
         for row in telemetry.slo.summary():
             assert row["evaluations"] > 0
+
+    def test_breaches_keep_the_trace_valid(self):
+        from repro.metrics.validate import validate_trace
+
+        telemetry = Telemetry(
+            windows=300.0,
+            slo=["p90_wait < 60", "jain >= 0.99"],
+            decision_ledger=True,
+        )
+        system = BatchSystem(4, 8, MauiConfig(), telemetry=telemetry)
+        make_random_workload(
+            80, system.cluster.total_cores, seed=7, mean_interarrival=30.0
+        ).submit_to(system)
+        system.run(max_events=1_000_000)
+        assert telemetry.slo.breaches
+        assert validate_trace(system.trace, system.cluster) == []
 
     def test_export_round_trip_is_stable(self):
         first, second = (io.StringIO(), io.StringIO())
