@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
@@ -107,8 +108,10 @@ class Job:
     def __post_init__(self) -> None:
         if not self.job_id:
             self.job_id = f"job.{self.seq}"
-        if self.walltime <= 0:
-            raise ValueError(f"walltime must be positive: {self.walltime}")
+        if not math.isfinite(self.walltime) or self.walltime <= 0:
+            raise ValueError(
+                f"walltime must be positive and finite: {self.walltime}"
+            )
         if self.evolution is not None and self.flexibility is not JobFlexibility.EVOLVING:
             raise ValueError("only evolving jobs may carry an evolution profile")
         if self.min_cores:

@@ -28,7 +28,7 @@ import math
 from repro.cluster.allocation import Allocation
 from repro.cluster.machine import Cluster
 from repro.cluster.profile import AvailabilityProfile, NoFitError
-from repro.jobs.job import Job
+from repro.jobs.job import Job, JobState
 from repro.jobs.queue import DynRequest
 from repro.maui.config import MauiConfig
 from repro.maui.delay import measure_delays
@@ -136,11 +136,14 @@ class MauiScheduler:
         #: cluster slice and walltime epoch are unchanged since its last
         #: planning pass, whose earliest planned reservation is still in
         #: the future and whose cached routed queue is a prefix of the
-        #: current one replays the cached outcome for that prefix and plans
-        #: only the appended jobs, on the cached end-of-walk profile.
-        #: Disable for A/B equivalence runs.
+        #: current one replays the cached per-job outcome for that prefix
+        #: and plans only the appended jobs, on the cached end-of-walk
+        #: profile, whatever observers are attached.  Disable for A/B runs.
         self.shard_skip_enabled = True
         self._shard_pass_cache: dict[int, dict] = {}
+        #: queued job -> ``(start, cores)`` of its last traced reservation,
+        #: so the trace never depends on how often a plan is re-derived
+        self._reservation_marks: dict[str, tuple[float, int]] = {}
         #: sticky job -> shard-index assignments, made least-loaded-first
         #: in deterministic pass order and kept while the job queues —
         #: stable routing is what keeps the per-shard routed tuples (and
@@ -558,6 +561,14 @@ class MauiScheduler:
         all_eligible = len(ordered) == len(self.server.queue)
         walk_version = self.server.state_version
         started, backfilled = self._start_static(ordered, now, lockdown, outcome=outcome)
+        if len(self._reservation_marks) > len(self.server.queue):
+            # a start pops its job's mark; only a cancelled job leaves one
+            # behind, so dropping those here keeps marks within the queue
+            jobs = self.server.jobs
+            self._reservation_marks = {
+                job_id: mark for job_id, mark in self._reservation_marks.items()
+                if (job := jobs.get(job_id)) and job.state is JobState.QUEUED
+            }
         # Fixpoint rule: the echo wake-up this pass's own starts trigger
         # would re-walk the same queue minus the started jobs on the same
         # profile (each start is claimed in the working profile exactly as
@@ -1097,7 +1108,8 @@ class MauiScheduler:
         With ``scheduler_shards >= 1`` (the default) the pass runs sharded
         (:meth:`_start_static_sharded`); ``scheduler_shards == 0`` keeps
         this monolithic walk — the A/B oracle the single-shard path is
-        pinned against (bit-identical with delta planning off).
+        pinned against (the same schedule, trace and ledger; the same work
+        counters too with delta planning off).
         """
         if self.sharded_pass_enabled:
             return self._start_static_sharded(ordered, now, lockdown, outcome=outcome)
@@ -1171,6 +1183,7 @@ class MauiScheduler:
                 # a start while a higher-priority job waits is out-of-order
                 # execution, i.e. backfill in Maui's terms
                 self.server.start_job(job, alloc, backfilled=passed_blocked)
+                self._reservation_marks.pop(job.job_id, None)
                 if passed_blocked:
                     self.stats["jobs_backfilled"] += 1
                     backfilled += 1
@@ -1222,13 +1235,7 @@ class MauiScheduler:
                     ):
                         self._next_reservation_start = start
                     self.stats["reservations_created"] += 1
-                    self.trace.record(
-                        now,
-                        EventKind.RESERVATION_CREATE,
-                        job_id=job.job_id,
-                        start=start,
-                        cores=res_alloc.total_cores,
-                    )
+                    self._trace_reservation(now, job, (start, res_alloc.total_cores))
                     if ledger is not None:
                         # what is the reservation waiting on: running jobs
                         # that release by its start, plus earlier
@@ -1273,6 +1280,16 @@ class MauiScheduler:
         if prof is not None:
             prof.end()
         return started, backfilled
+
+    def _trace_reservation(self, now: float, job: Job, mark: tuple[float, int]) -> None:
+        """Trace ``reservation_create`` when the ``(start, cores)`` plan
+        is new or has moved (the ledger's create/slide rule)."""
+        if self._reservation_marks.get(job.job_id) != mark:
+            self._reservation_marks[job.job_id] = mark
+            self.trace.record(
+                now, EventKind.RESERVATION_CREATE,
+                job_id=job.job_id, start=mark[0], cores=mark[1],
+            )
 
     # ------------------------------------------------------------------
     # the sharded static pass (repro.maui.shards)
@@ -1373,11 +1390,12 @@ class MauiScheduler:
 
         At any shard count, one included, a shard whose cached plan still
         holds (see ``shard_skip_enabled``) is planned by delta: its cached
-        routed prefix replays the cached outcome, and only jobs appended
-        behind it — typically a fresh submission — are planned, on the
-        cached end-of-walk profile advanced to ``now``.  Its replayed
-        reservations are not created again, so with delta planning on only
-        the schedule, not the work counters, matches the monolithic pass.
+        routed prefix replays the cached per-job outcome in walk order,
+        and only jobs appended behind it — typically a fresh submission —
+        are planned, on the cached end-of-walk profile advanced to
+        ``now``.  Replayed reservations are not planned again, so with
+        delta planning on the schedule, trace and ledger, but not the
+        work counters, match the monolithic pass.
         """
         prof = self._prof
         if prof is not None:
@@ -1412,12 +1430,11 @@ class MauiScheduler:
         # release-only between state changes (free cores non-decreasing in
         # time, so fits/earliest-fit outcomes are time-stable until the
         # earliest planned reservation start); spanning jobs, lockdown,
-        # disabled backfill, admin reservations and ledger/outcome
-        # collection all fall back to full planning.
+        # disabled backfill and admin reservations fall back to full
+        # planning.  The ledger does not: a replayed prefix re-derives its
+        # ledger causes from the cached per-job outcomes.
         skip_ok = (
             self.shard_skip_enabled
-            and outcome is None
-            and ledger is None
             and not lockdown
             and self.config.backfill_enabled
             and not self.config.admin_reservations
@@ -1471,7 +1488,8 @@ class MauiScheduler:
         reserved_ahead: list[tuple[str, float]] = []
         depth = self.config.reservation_depth
         res_counts = {shard.index: 0 for shard in shards}
-        shard_blocked: dict[int, set[str]] = {shard.index: set() for shard in shards}
+        # per shard: blocked job -> reservation (start, cores), None past depth
+        shard_blocked: dict[int, dict] = {shard.index: {} for shard in shards}
         shard_min_res: dict[int, float | None] = {shard.index: None for shard in shards}
         # shards that started a job behind one of their own blocked jobs
         # (their walk is not at its fixpoint) and the jobs started this pass
@@ -1484,25 +1502,40 @@ class MauiScheduler:
         self._next_reservation_start = None
         for sid, cached in hits.items():
             res_counts[sid] = cached["reservations"]
-            # a cached shard's planned reservations still anchor the
-            # boundary wake
-            res_start = shard_min_res[sid] = cached["min_res_start"]
-            if res_start is not None and (
-                self._next_reservation_start is None
-                or res_start < self._next_reservation_start
-            ):
-                self._next_reservation_start = res_start
+            shard_min_res[sid] = cached["min_res_start"]
 
         for idx, job in enumerate(ordered):
             route = routes[idx]
             if route is not None and replay_left.get(route.index):
                 # cached prefix: still blocked (labels later backfill) or
                 # still can-never-fit (contributes nothing), exactly as the
-                # cached walk decided; its claims live in the cached profile
+                # cached walk decided; its claims live in the cached profile.
+                # A reservation is replayed where the walk meets it, so the
+                # boundary wake, a backfill's hole and later reservations'
+                # waiting_on see what a full pass would have seen by then.
                 replay_left[route.index] -= 1
-                if job.job_id in hits[route.index]["blocked"]:
-                    blocked_ids.append(job.job_id)
-                    passed_blocked = True
+                cached_blocked = hits[route.index]["blocked"]
+                if job.job_id not in cached_blocked:
+                    if outcome is not None:
+                        outcome[job.job_id] = ("queued_behind", "request can never fit")
+                    continue
+                reserved = cached_blocked[job.job_id]
+                if reserved is None:
+                    if outcome is not None:
+                        behind = f"behind {blocked_ids[0]}" if blocked_ids else None
+                        outcome[job.job_id] = ("queued_behind", behind)
+                else:
+                    start = reserved[0]
+                    bound = self._next_reservation_start
+                    if bound is None or start < bound:
+                        self._next_reservation_start = start
+                    if ledger is not None:
+                        reserved_ahead.append((job.job_id, start))
+                        if outcome is not None:
+                            held = f"reserved at t={start:.1f}"
+                            outcome[job.job_id] = ("reservation_held", held)
+                blocked_ids.append(job.job_id)
+                passed_blocked = True
                 continue
             spanning = route is None
             if spanning:
@@ -1567,6 +1600,7 @@ class MauiScheduler:
                     )
                 self.server.start_job(job, alloc, backfilled=passed_blocked)
                 self._route_assign.pop(job.job_id, None)
+                self._reservation_marks.pop(job.job_id, None)
                 if skip_ok:
                     if shard_blocked[sid] or (sid in hits and hits[sid]["blocked"]):
                         shard_backfilled.add(sid)
@@ -1587,6 +1621,7 @@ class MauiScheduler:
                 if spanning
                 else res_counts[sid] < depth
             )
+            mark: tuple[float, int] | None = None
             if under_depth:
                 if prof is not None:
                     prof.begin("reservation_plan" + suffix)
@@ -1637,13 +1672,8 @@ class MauiScheduler:
                     ):
                         self._next_reservation_start = start
                     self.stats["reservations_created"] += 1
-                    self.trace.record(
-                        now,
-                        EventKind.RESERVATION_CREATE,
-                        job_id=job.job_id,
-                        start=start,
-                        cores=res_alloc.total_cores,
-                    )
+                    mark = (start, res_alloc.total_cores)
+                    self._trace_reservation(now, job, mark)
                     if ledger is not None:
                         waiting_on = [
                             j.job_id
@@ -1669,7 +1699,7 @@ class MauiScheduler:
                 outcome[job.job_id] = ("queued_behind", behind)
             blocked_ids.append(job.job_id)
             if sid is not None:
-                shard_blocked[sid].add(job.job_id)
+                shard_blocked[sid][job.job_id] = mark
             passed_blocked = True
             if job.top_priority or not self.config.backfill_enabled or lockdown:
                 stopped_at = idx
@@ -1707,9 +1737,9 @@ class MauiScheduler:
                     continue
                 if started_ids:
                     routed = tuple(k for k in routed if k[0] not in started_ids)
-                blocked = frozenset(shard_blocked[sid])
+                blocked = shard_blocked[sid]
                 if cached is not None:
-                    blocked |= cached["blocked"]
+                    blocked = {**cached["blocked"], **blocked}
                 cache[sid] = {
                     "fingerprint": (versions[sid], epoch, routed),
                     "blocked": blocked,

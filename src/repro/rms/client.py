@@ -7,6 +7,8 @@ real batch-system session.
 
 from __future__ import annotations
 
+import math
+
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.evolution import EvolutionProfile
 from repro.jobs.job import Job, JobFlexibility, JobState
@@ -80,8 +82,8 @@ def qalter(
         raise RuntimeError(f"{job.job_id} is {job.state.value}; only queued jobs alter")
     if walltime is not None:
         new_walltime = parse_duration(walltime)
-        if new_walltime <= 0:
-            raise ValueError("walltime must be positive")
+        if not math.isfinite(new_walltime) or new_walltime <= 0:
+            raise ValueError(f"walltime must be positive and finite: {walltime}")
         job.walltime = new_walltime
     if cores is not None:
         if job.request.is_shaped:

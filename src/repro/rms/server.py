@@ -19,6 +19,7 @@ Workflow for a dynamic allocation (paper Fig. 3):
 from __future__ import annotations
 
 import logging
+import math
 from typing import Callable, Protocol
 
 from repro.cluster.allocation import Allocation, ResourceRequest
@@ -490,8 +491,10 @@ class Server:
             raise RuntimeError(
                 f"{job.job_id} is {job.state.value}; extension needs RUNNING"
             )
-        if extra_seconds <= 0:
-            raise ValueError(f"extension must be positive: {extra_seconds}")
+        if not math.isfinite(extra_seconds) or extra_seconds <= 0:
+            raise ValueError(
+                f"extension must be positive and finite: {extra_seconds}"
+            )
         job.state = JobState.DYNQUEUED
         dreq = DynRequest(
             job=job,

@@ -175,3 +175,14 @@ class TestQalter:
         system.run(until=0.0)
         with pytest.raises(ValueError):
             qalter(system.server, job, walltime=0)
+
+    @pytest.mark.parametrize("walltime", [float("inf"), float("nan"), "inf"])
+    def test_nonfinite_walltime_rejected(self, system, walltime):
+        from repro.rms.client import qalter
+
+        qsub(system.server, cores=32, walltime=500)
+        job = qsub(system.server, cores=8, walltime=100)
+        system.run(until=0.0)
+        with pytest.raises(ValueError, match=f"finite: {walltime}"):
+            qalter(system.server, job, walltime=walltime)
+        assert job.walltime == 100.0

@@ -7,6 +7,12 @@ schedule must equal the one from a scheduler that runs every wake-up as a
 full pass and re-plans every shard every pass
 (``iteration_skip_enabled=False``, ``shard_skip_enabled=False``).
 
+Both sides run with the decision ledger attached, which takes the same
+planning path as an unobserved run: the ledger dump and the event trace
+must match byte for byte too.  The one trace difference allowed is the
+``sched_iteration`` record, which marks a pass that ran, so an elided echo
+leaves none.
+
 Hypothesis draws small workloads that mix the mutations the cached plans
 must notice: simultaneous submissions, evolving jobs (dynamic grants),
 walltime extensions (the walltime epoch), ``qalter`` of queued jobs,
@@ -15,6 +21,11 @@ Z-style top-priority jobs (the lockdown fallback), at 1, 2 and 4 shards,
 with DFS off or capping grants at the paper's Dyn-500 target delay.
 """
 
+import re
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -22,8 +33,10 @@ from repro.apps.synthetic import EvolvingWorkApp, FixedRuntimeApp
 from repro.cluster.allocation import ResourceRequest
 from repro.jobs.evolution import EvolutionProfile
 from repro.jobs.job import Job, JobFlexibility, JobState
-from repro.maui.config import DFSConfig, MauiConfig
+from repro.maui.config import DFSConfig, MauiConfig, PriorityWeightsConfig
+from repro.obs import DecisionKind, Telemetry
 from repro.rms.client import qalter
+from repro.sim.events import EventKind
 from repro.system import BatchSystem
 
 
@@ -106,6 +119,13 @@ def mutate(system, job, kind, value):
         system.engine.after(20.0 * value, system.server.release_hold, job)
 
 
+class Run(NamedTuple):
+    tuples: list
+    stats: dict
+    ledger: str
+    trace: list[str]
+
+
 def schedule(jobs, mutations, shards, depth, delta, dfs_limit=None):
     config = MauiConfig(
         reservation_depth=depth,
@@ -117,7 +137,8 @@ def schedule(jobs, mutations, shards, depth, delta, dfs_limit=None):
             else DFSConfig.target_delay_for_all(dfs_limit, interval=3600, decay=0)
         ),
     )
-    system = BatchSystem(8, 4, config)
+    telemetry = Telemetry(decision_ledger=True)
+    system = BatchSystem(8, 4, config, telemetry=telemetry)
     system.scheduler.iteration_skip_enabled = delta
     system.scheduler.shard_skip_enabled = delta
     built: list[Job] = []
@@ -131,10 +152,38 @@ def schedule(jobs, mutations, shards, depth, delta, dfs_limit=None):
     # an ``after`` dependency on a cancelled job never resolves, so a run
     # may end with jobs still queued; both modes must leave the same ones
     system.run(max_events=200_000)
+    return observed_run(system, built)
+
+
+def observed_run(system, built) -> Run:
+    """Schedule tuples, stats, ledger dump and trace of a finished run."""
     # job ids come from a process-global counter: compare in build order
-    return [(j.submit_time, j.start_time, j.end_time, j.state) for j in built], (
-        system.scheduler.stats
+    names = {job.job_id: f"J{i}" for i, job in enumerate(built)}
+
+    def rename(text):
+        return re.sub(r"job\.\d+", lambda m: names[m.group(0)], text)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ledger.jsonl"
+        system.telemetry.ledger.export_jsonl(path)
+        ledger = rename(path.read_text())
+    trace = [
+        rename(repr((e.time, e.kind.value, e.payload)))
+        for e in system.trace
+        if e.kind is not EventKind.SCHED_ITERATION
+    ]
+    return Run(
+        [(j.submit_time, j.start_time, j.end_time, j.state) for j in built],
+        system.scheduler.stats,
+        ledger,
+        trace,
     )
+
+
+def assert_same_run(delta: Run, full: Run) -> None:
+    assert delta.tuples == full.tuples
+    assert delta.ledger == full.ledger
+    assert delta.trace == full.trace
 
 
 @settings(
@@ -150,18 +199,19 @@ def schedule(jobs, mutations, shards, depth, delta, dfs_limit=None):
     dfs_limit=st.sampled_from([None, 500.0]),
 )
 def test_delta_passes_equal_full_passes(jobs, mutations, shards, depth, dfs_limit):
-    delta, delta_stats = schedule(jobs, mutations, shards, depth, True, dfs_limit)
-    full, full_stats = schedule(jobs, mutations, shards, depth, False, dfs_limit)
-    assert delta == full
+    delta = schedule(jobs, mutations, shards, depth, True, dfs_limit)
+    full = schedule(jobs, mutations, shards, depth, False, dfs_limit)
+    assert_same_run(delta, full)
     for key in ("jobs_started", "jobs_backfilled", "dyn_granted", "dyn_rejected"):
-        assert delta_stats[key] == full_stats[key], key
-    assert full_stats["iterations_skipped"] == 0
-    assert full_stats["shard_passes_skipped"] == 0
+        assert delta.stats[key] == full.stats[key], key
+    assert full.stats["iterations_skipped"] == 0
+    assert full.stats["shard_passes_skipped"] == 0
 
 
 def test_delta_passes_do_less_work_on_a_fixed_workload():
     """The oracle above is not vacuous: on a fixed mixed workload both
-    savings fire, and the schedule still matches the full-pass run."""
+    savings fire with the ledger attached, and the schedule, ledger and
+    trace still match the full-pass run."""
     jobs = [
         ("rigid", 3, 90.0, 0.0, 0, None),
         ("rigid", 8, 200.0, 0.0, 1, None),
@@ -174,11 +224,11 @@ def test_delta_passes_do_less_work_on_a_fixed_workload():
     ]
     mutations = [(10.0, "walltime", 4, 2), (45.0, "hold", 6, 1)]
     for shards in (1, 2):
-        delta, delta_stats = schedule(jobs, mutations, shards, 2, delta=True)
-        full, _full_stats = schedule(jobs, mutations, shards, 2, delta=False)
-        assert delta == full, shards
-        assert delta_stats["iterations_skipped"] > 0, shards
-        assert delta_stats["shard_passes_skipped"] > 0, shards
+        delta = schedule(jobs, mutations, shards, 2, delta=True)
+        full = schedule(jobs, mutations, shards, 2, delta=False)
+        assert_same_run(delta, full)
+        assert delta.stats["iterations_skipped"] > 0, shards
+        assert delta.stats["shard_passes_skipped"] > 0, shards
 
 
 def test_single_shard_delta_under_dfs_capped_rejection():
@@ -193,13 +243,13 @@ def test_single_shard_delta_under_dfs_capped_rejection():
         ("rigid", 4, 300.0, 60.0, 3, None),
         ("rigid", 2, 90.0, 120.0, 2, None),
     ]
-    delta, delta_stats = schedule(jobs, [], 1, 2, True, dfs_limit=500.0)
-    full, full_stats = schedule(jobs, [], 1, 2, False, dfs_limit=500.0)
-    assert delta == full
-    assert delta_stats["dyn_rejected_fairness"] == 1
-    assert full_stats["dyn_rejected_fairness"] == 1
-    assert delta_stats["shard_passes_skipped"] > 0
-    _, uncapped = schedule(jobs, [], 1, 2, True)
+    delta = schedule(jobs, [], 1, 2, True, dfs_limit=500.0)
+    full = schedule(jobs, [], 1, 2, False, dfs_limit=500.0)
+    assert_same_run(delta, full)
+    assert delta.stats["dyn_rejected_fairness"] == 1
+    assert full.stats["dyn_rejected_fairness"] == 1
+    assert delta.stats["shard_passes_skipped"] > 0
+    uncapped = schedule(jobs, [], 1, 2, True).stats
     assert uncapped["dyn_granted"] == 1  # the cap, not resources, refused it
 
 
@@ -228,3 +278,53 @@ def test_walltime_extension_retires_the_single_shard_plan():
     assert start == run(False)[0] == 80.0
     assert stats["dyn_granted"] == 1
     assert stats["shard_passes_skipped"] > 0
+
+
+def test_replayed_reservations_bound_holes_and_waits_in_walk_order():
+    """Two shards, both planned by delta at t=2.  The walk meets J0
+    (shard 0, reserved at t=200), then the fresh X (shard 0, backfills at
+    once), then J1 (shard 1, reserved at t=50).  X's hole closes at J0's
+    reservation: J1's earlier one lies further down the walk, so it must
+    not bound X's hole even though its shard's plan is replayed.  At t=3
+    the fresh Y (shard 0) is reserved behind J0 and waits on it."""
+
+    def rigid(cores, walltime, user):
+        return Job(request=ResourceRequest(cores=cores), walltime=walltime, user=user)
+
+    def run(delta):
+        config = MauiConfig(
+            reservation_depth=2,
+            scheduler_shards=2,
+            weights=PriorityWeightsConfig(
+                credential=1000.0, user_priorities={"c": 3, "x": 2, "d": 1}
+            ),
+        )
+        # shard 0 holds nodes 0-1 (8 cores), shard 1 node 2 (4 cores)
+        system = BatchSystem(3, 4, config, telemetry=Telemetry(decision_ledger=True))
+        system.scheduler.shard_skip_enabled = delta
+        built = [rigid(3, 200.0, "a"), rigid(4, 50.0, "b")]
+        for job in built:
+            system.submit(job, FixedRuntimeApp(job.walltime))
+        for at, job in [
+            (1.0, rigid(8, 100.0, "c")),
+            (1.0, rigid(4, 100.0, "d")),
+            (2.0, rigid(5, 50.0, "x")),
+            (3.0, rigid(8, 100.0, "y")),
+        ]:
+            built.append(job)
+            system.submit_at(at, job, FixedRuntimeApp(job.walltime))
+        system.run()
+        return system, built
+
+    system, built = run(True)
+    _a, _b, j0, _j1, x, y = built
+    ledger = system.telemetry.ledger
+    first = ledger.of_kind(DecisionKind.BACKFILL_START)[0]
+    assert first.job_id == x.job_id
+    assert (first.payload["jumped"], first.payload["hole_until"]) == ([j0.job_id], 200.0)
+    (y_res,) = [
+        d for d in ledger.of_kind(DecisionKind.RESERVATION_CREATE) if d.job_id == y.job_id
+    ]
+    assert j0.job_id in y_res.payload["waiting_on"]
+    assert system.scheduler.stats["shard_passes_skipped"] > 0
+    assert_same_run(observed_run(system, built), observed_run(*run(False)))

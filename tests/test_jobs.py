@@ -32,6 +32,13 @@ class TestJob:
         with pytest.raises(ValueError):
             make_job(walltime=0)
 
+    @pytest.mark.parametrize("walltime", [float("inf"), float("nan")])
+    def test_nonfinite_walltime_rejected(self, walltime):
+        # built inside raises: an infinite walltime must never reach a run
+        # (the fairshare window roll would loop forever at t=inf)
+        with pytest.raises(ValueError, match=f"finite: {walltime}"):
+            make_job(walltime=walltime)
+
     def test_evolution_profile_requires_evolving(self):
         with pytest.raises(ValueError):
             make_job(evolution=EvolutionProfile.esp_default())

@@ -24,6 +24,7 @@ from repro.obs import DecisionKind, DecisionLedger, Telemetry
 from repro.obs.ledger import ATTRIBUTION_EPSILON
 from repro.sim.events import EventKind
 from repro.system import BatchSystem
+from repro.workloads import make_random_workload
 from repro.workloads.esp import make_esp_workload
 
 
@@ -97,6 +98,62 @@ class TestOffByDefault:
             ]
 
         assert run(False) == run(True)
+
+    def test_full_observation_leaves_the_work_unchanged(self):
+        """On a 2-shard replay-shaped workload, where delta planning fires,
+        full observation (ledger, profiler, windows, fairness, SLOs) adds
+        only the observers' own DECISION and SLO_BREACH records: every
+        other trace event, payload included, and every work counter match
+        the unobserved run."""
+
+        def run(observed):
+            telemetry = (
+                Telemetry(
+                    sample_interval=None,
+                    decision_ledger=True,
+                    profiling=True,
+                    windows=3600.0,
+                    fairness=True,
+                    slo=["p99_wait < 4h", "jain >= 0.5", "share_error < 0.2"],
+                )
+                if observed
+                else None
+            )
+            config = MauiConfig(
+                reservation_depth=5, reservation_delay_depth=5, scheduler_shards=2
+            )
+            system = BatchSystem(32, 8, config, telemetry=telemetry)
+            make_random_workload(
+                300,
+                256,
+                evolving_share=0.05,
+                mean_interarrival=180.0,
+                runtime_range=(300.0, 7200.0),
+                size_range=(1, 64),
+                num_users=32,
+                seed=1,
+            ).submit_to(system)
+            system.run()
+            names: dict[str, str] = {}
+
+            def rename(match):
+                return names.setdefault(match.group(0), f"J{len(names)}")
+
+            trace = [
+                re.sub(r"job\.\d+", rename, repr((e.time, e.kind.value, e.payload)))
+                for e in system.trace
+                if e.kind not in (EventKind.DECISION, EventKind.SLO_BREACH)
+            ]
+            stats = dict(system.scheduler.stats)
+            del stats["dyn_handle_seconds"]  # wall clock
+            return trace, stats
+
+        plain_trace, plain_stats = run(False)
+        observed_trace, observed_stats = run(True)
+        assert observed_trace == plain_trace
+        assert observed_stats == plain_stats
+        assert plain_stats["shard_passes_skipped"] > 0
+        assert observed_stats["shard_passes_skipped"] > 0
 
 
 class TestDecisionRecording:
@@ -408,6 +465,19 @@ class TestESPAcceptance:
             assert payload["slide"] == pytest.approx(
                 payload["start"] - payload["previous_start"], abs=1e-9
             )
+
+    def test_traced_reservations_follow_the_create_slide_rule(self, esp_dyn_run):
+        """The trace records ``reservation_create`` exactly where the ledger
+        records a reservation create or slide: only new or moved plans."""
+        system, ledger = esp_dyn_run
+        traced = [
+            (e.time, e.payload["job_id"], e.payload["start"])
+            for e in system.trace
+            if e.kind is EventKind.RESERVATION_CREATE
+        ]
+        kinds = (DecisionKind.RESERVATION_CREATE, DecisionKind.RESERVATION_SLIDE)
+        decided = [(d.time, d.job_id, d.payload["start"]) for d in ledger if d.kind in kinds]
+        assert traced and traced == decided
 
     def test_ledger_counter_matches_inflicted_total(self, esp_dyn_run):
         system, ledger = esp_dyn_run

@@ -18,6 +18,7 @@ The contract under test, in order of importance:
 """
 
 import dataclasses
+import re
 
 import pytest
 
@@ -82,24 +83,76 @@ def test_single_shard_bit_identical_to_monolithic(name):
 
     Side 1: with ``shard_skip_enabled=False`` one shard performs every
     operation of the monolithic pass, so every shared counter matches.
-    Side 2: with it on, the schedule and the decision counters still
-    match, but replayed prefixes re-create none of their reservations,
-    so the shard skips passes and plans fewer reservations.
+    Side 2: with it on, the schedule, the decision counters and the
+    event trace still match, but replayed prefixes re-create none of
+    their reservations, so the shard skips passes and plans fewer
+    reservations.  The trace matches because ``reservation_create`` is
+    recorded only for a new or moved reservation, whichever pass plans it.
     """
     config = _config(name)
-    mono_tuples, mono_stats, _ = _run_esp(config, shards=0)
+    mono_tuples, mono_stats, mono_system = _run_esp(config, shards=0)
     full_tuples, full_stats, _ = _run_esp(config, shards=1, skip=False)
     assert full_tuples == mono_tuples
     # the sharded pass adds its own counters; everything shared must match
     for key, value in mono_stats.items():
         assert full_stats[key] == value, key
 
-    delta_tuples, delta_stats, _ = _run_esp(config, shards=1)
+    delta_tuples, delta_stats, delta_system = _run_esp(config, shards=1)
     assert delta_tuples == mono_tuples
     for key in DECISION_COUNTERS:
         assert delta_stats[key] == mono_stats[key], key
+    assert _trace_dump(delta_system) == _trace_dump(mono_system)
     assert delta_stats["shard_passes_skipped"] > 0
     assert delta_stats["reservations_created"] < mono_stats["reservations_created"]
+    # a drained run leaves no reservation marks behind
+    assert not delta_system.scheduler._reservation_marks
+    assert not mono_system.scheduler._reservation_marks
+
+
+def _trace_dump(system):
+    """Event reprs with job ids renamed by first appearance (the ids come
+    from a process-global counter)."""
+    names: dict[str, str] = {}
+
+    def rename(match):
+        return names.setdefault(match.group(0), f"J{len(names)}")
+
+    return [
+        re.sub(r"job\.\d+", rename, repr((e.time, e.kind.value, e.payload)))
+        for e in system.trace
+    ]
+
+
+@pytest.mark.parametrize("shards", [0, 1, 2])
+def test_cancelled_job_drops_its_reservation_mark(shards):
+    """A queued job's reservation mark lives while it queues.  A start
+    pops it at once; a cancelled job's mark is dropped by the next pass
+    once marks outnumber queued jobs, and a drained run ends with none."""
+    from repro.apps.synthetic import FixedRuntimeApp
+    from repro.jobs.job import Job
+
+    maui = MauiConfig(reservation_depth=2, scheduler_shards=shards)
+    system = BatchSystem(num_nodes=2, cores_per_node=4, config=maui)
+
+    def rigid(cores, walltime):
+        return Job(request=ResourceRequest(cores=cores), walltime=walltime, user="u")
+
+    system.submit(rigid(8, 100.0), FixedRuntimeApp(100.0))
+    cancelled = system.submit(rigid(8, 50.0), FixedRuntimeApp(50.0))
+    kept = system.submit(rigid(4, 50.0), FixedRuntimeApp(50.0))
+    system.run(until=10.0)
+    scheduler = system.scheduler
+    marks = {cancelled.job_id: (100.0, 8), kept.job_id: (150.0, 4)}
+    assert scheduler._reservation_marks == marks
+
+    system.server.cancel_queued(cancelled)
+    # a cancellation bumps no state version and wakes no pass by itself
+    system.scheduler.request_iteration(force=True)
+    system.run(until=20.0)
+    # the kept job's reservation moved up into the freed slot
+    assert scheduler._reservation_marks == {kept.job_id: (100.0, 4)}
+    system.run()
+    assert not scheduler._reservation_marks
 
 
 # ----------------------------------------------------------------------

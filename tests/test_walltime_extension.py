@@ -75,6 +75,15 @@ class TestExtensionGrant:
         with pytest.raises(ValueError):
             ctx.tm_extend_walltime(0.0, lambda g: None)
 
+    @pytest.mark.parametrize("extra", [float("inf"), float("nan")])
+    def test_nonfinite_extension_rejected(self, system, extra):
+        job = system.submit(overrunner(), FixedRuntimeApp(100.0))
+        system.run(until=0.0)
+        with pytest.raises(ValueError, match=f"finite: {extra}"):
+            system.server.extend_walltime_request(job, extra, lambda g: None)
+        assert job.state is JobState.RUNNING
+        assert not system.server.dyn_queue
+
 
 class TestExtensionFairness:
     def _system(self, cap):
